@@ -120,8 +120,8 @@ Status DynamicVoting::Access(const NetworkState& net, SiteId origin,
     return Status::NoQuorum(name_ + ": " + d.ToString());
   }
 
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = d.max_op + 1;
+  VersionNumber version = d.max_version;
   if (type == AccessType::kWrite) ++version;
   // COMMIT(S, o_m + 1, v_m [+1], S): the set of current sites becomes the
   // new partition set — the new majority block.
@@ -173,8 +173,8 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
     return Status::NoQuorum(name_ + ": recovery outside majority partition");
   }
 
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = d.max_op + 1;
+  VersionNumber version = d.max_version;
   bool needs_copy = store_.state(site).version < version &&
                     !options_.witnesses.Contains(site);
   SiteSet data_sources = d.current_set.Minus(options_.witnesses);
@@ -202,15 +202,12 @@ Status DynamicVoting::Recover(const NetworkState& net, SiteId site) {
 
 void DynamicVoting::ReintegrateGroup(const NetworkState& net,
                                      SiteSet group) {
-  SiteSet copies = store_.CopiesAmong(group);
-  if (copies.Empty()) return;
-  for (SiteId s : copies) {
-    if (store_.state(s).op_number < store_.MaxOp(copies)) {
-      Status st = Recover(net, s);
-      DYNVOTE_CHECK_MSG(st.ok(),
-                        "reintegration inside a granted group must succeed");
-    }
-  }
+  store_.ForEachStaleCopy(group, [&](SiteId s) {
+    Status st = Recover(net, s);
+    DYNVOTE_CHECK_MSG(st.ok(),
+                      "reintegration inside a granted group must succeed");
+    return true;
+  });
 }
 
 Status DynamicVoting::UserAccess(const NetworkState& net, AccessType type) {
@@ -260,9 +257,8 @@ void DynamicVoting::OnNetworkEvent(const NetworkState& net) {
     if (!membership_current) {
       // A state-update operation: the current sites commit the shrunken
       // (or re-grown) majority block, then stale copies reintegrate.
-      OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-      VersionNumber version = store_.MaxVersion(d.reachable_copies);
-      store_.Commit(d.current_set, op, version, d.current_set);
+      store_.Commit(d.current_set, d.max_op + 1, d.max_version,
+                    d.current_set);
       counter_.Add(MessageKind::kCommit, d.current_set.Size());
       ReintegrateGroup(net, group);
     }

@@ -77,8 +77,11 @@ QuorumDecision EvaluateDynamicQuorum(const ReplicaStore& store,
   d.reachable_copies = store.CopiesAmong(reachable);
   if (d.reachable_copies.Empty()) return d;
 
-  d.quorum_set = store.MaxOpSites(d.reachable_copies);
-  d.current_set = store.MaxVersionSites(d.reachable_copies);
+  const ReplicaStore::MaxSites max = store.ScanMaxSites(d.reachable_copies);
+  d.quorum_set = max.op_sites;
+  d.current_set = max.version_sites;
+  d.max_op = max.max_op;
+  d.max_version = max.max_version;
   d.representative = d.quorum_set.RankMax();
   d.prev_partition = store.state(d.representative).partition_set;
 

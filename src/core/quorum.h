@@ -106,6 +106,12 @@ struct QuorumDecision {
   SiteSet prev_partition;
   /// m: the member of Q whose ensemble was used.
   SiteId representative = -1;
+  /// o_m: the maximal operation number in R, carried by every member of
+  /// Q. Meaningless when R is empty.
+  OpNumber max_op = 0;
+  /// v_m: the maximal version in R, carried by every member of S.
+  /// Meaningless when R is empty.
+  VersionNumber max_version = 0;
   /// Which rule of the paper produced the outcome. In particular,
   /// kGrantedTopologicalCarry means the vote-carrying closure T was
   /// decisive: counting Q alone would have denied this group.

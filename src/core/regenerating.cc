@@ -90,8 +90,8 @@ Status RegeneratingVoting::Access(const NetworkState& net, SiteId origin,
     counter_.Add(MessageKind::kAbort, d.reachable_copies.Size());
     return Status::NoQuorum(name_ + ": " + d.ToString());
   }
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = d.max_op + 1;
+  VersionNumber version = d.max_version;
   if (type == AccessType::kWrite) ++version;
   store_.Commit(d.current_set, op, version, d.current_set);
   counter_.Add(MessageKind::kCommit, d.current_set.Size());
@@ -129,8 +129,8 @@ Status RegeneratingVoting::Recover(const NetworkState& net, SiteId site) {
   if (!d.granted) {
     return Status::NoQuorum(name_ + ": recovery outside majority");
   }
-  OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-  VersionNumber version = store_.MaxVersion(d.reachable_copies);
+  OpNumber op = d.max_op + 1;
+  VersionNumber version = d.max_version;
   bool needs_copy = store_.state(site).version < version &&
                     data_copies_.Contains(site);
   if (needs_copy) counter_.Add(MessageKind::kFileCopy, 1);
@@ -150,13 +150,11 @@ Status RegeneratingVoting::Recover(const NetworkState& net, SiteId site) {
 
 void RegeneratingVoting::ReintegrateGroup(const NetworkState& net,
                                           SiteSet group) {
-  SiteSet reachable = group.Intersect(members_);
-  for (SiteId s : reachable) {
-    if (store_.state(s).op_number < store_.MaxOp(reachable)) {
-      Status st = Recover(net, s);
-      DYNVOTE_CHECK_MSG(st.ok(), "member reintegration must succeed");
-    }
-  }
+  store_.ForEachStaleCopy(group.Intersect(members_), [&](SiteId s) {
+    Status st = Recover(net, s);
+    DYNVOTE_CHECK_MSG(st.ok(), "member reintegration must succeed");
+    return true;
+  });
 }
 
 void RegeneratingVoting::MaybeRegenerate(const NetworkState& /*net*/,
@@ -217,9 +215,8 @@ void RegeneratingVoting::OnNetworkEvent(const NetworkState& net) {
     bool membership_current =
         d.current_set == d.prev_partition && reachable == d.current_set;
     if (!membership_current) {
-      OpNumber op = store_.MaxOp(d.reachable_copies) + 1;
-      VersionNumber version = store_.MaxVersion(d.reachable_copies);
-      store_.Commit(d.current_set, op, version, d.current_set);
+      store_.Commit(d.current_set, d.max_op + 1, d.max_version,
+                    d.current_set);
       counter_.Add(MessageKind::kCommit, d.current_set.Size());
       ReintegrateGroup(net, group);
     }

@@ -218,11 +218,9 @@ struct GroupMemoSlot {
 
 constexpr int kGroupMemoSlots = 8;
 
-/// Outcome of one quorum evaluation, either mode. `quorum` and `current`
-/// double as handles to the extremal replica states: every member of Q
-/// carries MaxOp(R) and every member of S carries MaxVersion(R), so a
-/// caller reads those maxima with one state lookup instead of a store
-/// scan.
+/// Outcome of one quorum evaluation, either mode. It carries o_m and v_m
+/// (as QuorumDecision does), so a commit reads those maxima without a
+/// store scan.
 struct EvalResult {
   bool granted = false;
   SiteSet reachable;  // R ∩ placement
@@ -737,8 +735,8 @@ EvalResult BatchedEngine::DvEvaluate(std::size_t obj, int p, SiteSet copies) {
   r.quorum = d.quorum_set;
   r.current = d.current_set;
   r.prev = d.prev_partition;
-  r.max_op = slot.store.state(d.quorum_set.RankMax()).op_number;
-  r.max_version = slot.store.state(d.current_set.RankMax()).version;
+  r.max_op = d.max_op;
+  r.max_version = d.max_version;
 
   DvEvalMemo::Entry& victim = memo.entries[memo.cursor];
   memo.cursor ^= 1;
@@ -900,19 +898,13 @@ void BatchedEngine::DvReintegrateGroup(std::size_t obj, int p, SiteSet group) {
   // nothing to recover.
   if (slot.local_valid && copies == slot.local_set) return;
   EnsureMaterialized(slot);
-  // MaxOp over the group only moves when a recover commits (it can raise
-  // the bar for the rest, exactly as in DynamicVoting); between recovers
-  // the cached value is exact.
-  OpNumber max_op = slot.store.MaxOp(copies);
-  for (SiteId s : copies) {
-    if (slot.store.state(s).op_number < max_op) {
-      bool ok = DvRecover(obj, p, s);
-      DYNVOTE_CHECK_MSG(ok,
-                        "reintegration inside a granted group must succeed");
-      if (slot.uniform) return;  // a covering recover re-uniformized
-      max_op = slot.store.MaxOp(copies);
-    }
-  }
+  slot.store.ForEachStaleCopy(copies, [&](SiteId s) {
+    bool ok = DvRecover(obj, p, s);
+    DYNVOTE_CHECK_MSG(ok, "reintegration inside a granted group must succeed");
+    // A covering recover re-uniformized: the store rows are no longer
+    // maintained, and no copy is stale.
+    return !slot.uniform;
+  });
 }
 
 void BatchedEngine::DvOnNetworkEvent(std::size_t obj, int p) {

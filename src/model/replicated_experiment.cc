@@ -93,6 +93,18 @@ std::uint64_t ReplicationSeed(std::uint64_t master_seed, int replication) {
   return seed;
 }
 
+std::vector<std::uint64_t> ReplicationSeeds(std::uint64_t master_seed,
+                                            int count) {
+  DYNVOTE_CHECK_MSG(count >= 0, "negative replication count");
+  std::vector<std::uint64_t> seeds;
+  seeds.reserve(static_cast<std::size_t>(count));
+  SplitMix64 mix(master_seed);
+  for (int r = 0; r < count; ++r) {
+    seeds.push_back(r == 0 ? master_seed : mix.Next());
+  }
+  return seeds;
+}
+
 Result<ReplicatedResults> RunReplicatedExperiment(
     const ExperimentSpec& spec, const ProtocolSetFactory& factory,
     const ReplicationOptions& options,
@@ -115,10 +127,7 @@ Result<ReplicatedResults> RunReplicatedExperiment(
   jobs = std::min(jobs, reps);
 
   ReplicatedResults out;
-  out.seeds.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    out.seeds.push_back(ReplicationSeed(spec.options.seed, r));
-  }
+  out.seeds = ReplicationSeeds(spec.options.seed, reps);
 
   // The batched engine handles only plain statistical runs: tracing,
   // metrics and the serving model need the per-replication instrumented

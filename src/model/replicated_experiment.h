@@ -118,6 +118,12 @@ struct ReplicatedResults {
 /// seed, the standard seed-expansion scheme of util/rng.h.
 std::uint64_t ReplicationSeed(std::uint64_t master_seed, int replication);
 
+/// ReplicationSeed(master_seed, r) for r = 0 .. count-1, drawn from one
+/// SplitMix64 stream in O(count) steps (ReplicationSeed replays r steps
+/// for each r).
+std::vector<std::uint64_t> ReplicationSeeds(std::uint64_t master_seed,
+                                            int count);
+
 /// Builds one replication's protocol set. Invoked once per replication,
 /// possibly concurrently from worker threads: it must be thread-safe,
 /// which in practice means it only reads shared immutable data (topology,

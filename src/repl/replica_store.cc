@@ -1,6 +1,7 @@
 #include "repl/replica_store.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -56,24 +57,22 @@ VersionNumber ReplicaStore::MaxVersion(SiteSet among) const {
   return best;
 }
 
-SiteSet ReplicaStore::MaxOpSites(SiteSet among) const {
-  SiteSet copies = CopiesAmong(among);
-  if (copies.Empty()) return SiteSet();
-  OpNumber best = MaxOp(copies);
-  SiteSet out;
-  for (SiteId s : copies) {
-    if (states_[s].op_number == best) out.Add(s);
-  }
-  return out;
-}
-
-SiteSet ReplicaStore::MaxVersionSites(SiteSet among) const {
-  SiteSet copies = CopiesAmong(among);
-  if (copies.Empty()) return SiteSet();
-  VersionNumber best = MaxVersion(copies);
-  SiteSet out;
-  for (SiteId s : copies) {
-    if (states_[s].version == best) out.Add(s);
+ReplicaStore::MaxSites ReplicaStore::ScanMaxSites(SiteSet among) const {
+  MaxSites out;
+  out.max_op = std::numeric_limits<OpNumber>::min();
+  out.max_version = std::numeric_limits<VersionNumber>::min();
+  for (SiteId s : CopiesAmong(among)) {
+    const ReplicaState& st = states_[s];
+    if (st.op_number > out.max_op) {
+      out.max_op = st.op_number;
+      out.op_sites = SiteSet();
+    }
+    if (st.op_number == out.max_op) out.op_sites.Add(s);
+    if (st.version > out.max_version) {
+      out.max_version = st.version;
+      out.version_sites = SiteSet();
+    }
+    if (st.version == out.max_version) out.version_sites.Add(s);
   }
   return out;
 }

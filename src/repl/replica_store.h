@@ -53,13 +53,50 @@ class ReplicaStore {
   /// Maximum version among copies in `among` (∩ placement).
   VersionNumber MaxVersion(SiteSet among) const;
 
+  /// Q and S of the paper with the maxima that define them.
+  struct MaxSites {
+    /// Q: copies whose operation number equals `max_op`.
+    SiteSet op_sites;
+    /// S: copies whose version equals `max_version`.
+    SiteSet version_sites;
+    /// o_m and v_m; meaningless when the scanned set holds no copies.
+    OpNumber max_op = 0;
+    VersionNumber max_version = 0;
+  };
+
+  /// Q, S, o_m and v_m over the copies in `among`, in one pass. Both sets
+  /// are empty iff `among` holds no copies.
+  MaxSites ScanMaxSites(SiteSet among) const;
+
   /// Q of the paper: copies in `among` whose operation number equals the
   /// maximum over `among`. Empty iff `among` holds no copies.
-  SiteSet MaxOpSites(SiteSet among) const;
+  SiteSet MaxOpSites(SiteSet among) const {
+    return ScanMaxSites(among).op_sites;
+  }
 
   /// S of the paper: copies in `among` whose version equals the maximum
   /// over `among`. Empty iff `among` holds no copies.
-  SiteSet MaxVersionSites(SiteSet among) const;
+  SiteSet MaxVersionSites(SiteSet among) const {
+    return ScanMaxSites(among).version_sites;
+  }
+
+  /// The reintegration sweep of Figures 3 and 7: calls `recover(s)` for
+  /// every copy s in `among`, in increasing id order, whose operation
+  /// number is below the maximum over `among`. Only a recover commit can
+  /// raise that maximum, so it is re-read after each call and never
+  /// between. `recover` returns false to end the sweep.
+  template <typename Recover>
+  void ForEachStaleCopy(SiteSet among, Recover&& recover) const {
+    const SiteSet copies = CopiesAmong(among);
+    if (copies.Empty()) return;
+    OpNumber max_op = MaxOp(copies);
+    for (SiteId s : copies) {
+      if (states_[s].op_number < max_op) {
+        if (!recover(s)) return;
+        max_op = MaxOp(copies);
+      }
+    }
+  }
 
   /// COMMIT of the paper: installs `op`/`version`/`new_partition_set` at
   /// every copy in `participants` (∩ placement).

@@ -1,13 +1,19 @@
-// A discrete-event calendar: a binary min-heap of (time, sequence) keyed
-// events with O(log n) insertion and extraction and O(1) lazy cancellation.
-// Ties in time are broken by insertion order, so runs are deterministic.
+// A discrete-event calendar: a binary min-heap of plain-data (time,
+// sequence, slot) nodes with O(log n) insertion and extraction and O(1)
+// lazy cancellation. Ties in time are broken by insertion order, so runs
+// are deterministic.
+//
+// Callbacks live off-heap in a slot table recycled through a free list;
+// sifting moves only the 24-byte nodes. An EventId packs a slot index with
+// that slot's generation, which advances whenever the slot is released
+// (its event fired, its cancelled node was skimmed, or the queue was
+// cleared), so a stale id can never reach the event that later reuses
+// its slot.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/time.h"
@@ -42,10 +48,10 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// True iff no live events remain.
-  bool Empty() const { return live_.empty(); }
+  bool Empty() const { return live_ == 0; }
 
   /// Number of live (scheduled, uncancelled, unfired) events.
-  std::size_t Size() const { return live_.size(); }
+  std::size_t Size() const { return live_; }
 
   /// Time of the earliest live event. Must not be called when Empty().
   SimTime PeekTime();
@@ -54,37 +60,45 @@ class EventQueue {
   /// called when Empty().
   SimTime RunNext();
 
-  /// Removes all events.
+  /// Removes all events. Ids issued before the call cancel nothing.
   void Clear();
 
  private:
-  struct Entry {
+  /// Heap node: 24 bytes, ordered by (when, seq). `seq` is unique, so the
+  /// order is total and any correct heap pops the same sequence.
+  struct Node {
     SimTime when;
     std::uint64_t seq;
-    EventId id;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Node) == 24);
+  /// Off-heap state of one event. A slot is owned by exactly one heap node
+  /// from Schedule until that node is popped (fired or skimmed), and sits
+  /// on the free list otherwise.
+  struct Slot {
     Callback callback;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
+    std::uint32_t generation = 1;  // never 0, so no id equals kInvalidEventId
+    bool live = false;             // scheduled, not yet fired or cancelled
   };
 
-  /// Drops cancelled entries from the heap top.
+  /// Heap comparator: std::push_heap/pop_heap keep the greatest element
+  /// on top, so "greater" means "fires later".
+  static bool After(const Node& a, const Node& b) {
+    return a.when > b.when || (a.when == b.when && a.seq > b.seq);
+  }
+
+  /// Drops cancelled nodes from the heap top, recycling their slots.
   void SkimCancelled();
+  /// Removes heap_[0], restoring the heap property.
+  void PopTop();
+  /// Returns `slot` to the free list under a new generation.
+  void Release(std::uint32_t slot);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  // Audited for iteration-order hazards: both sets are membership-only —
-  // insert/erase/find/size/clear, never iterated — so their unordered
-  // layout cannot leak into event order; dispatch order comes solely
-  // from the (time, seq) heap above.
-  // dynvote-lint: allow(unordered-container)
-  std::unordered_set<EventId> live_;
-  // dynvote-lint: allow(unordered-container)
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Node> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
+  std::size_t live_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
 };
 
 }  // namespace dynvote

@@ -24,8 +24,10 @@ Status Simulator::RunUntil(SimTime horizon) {
   if (!(horizon >= now_) || !std::isfinite(horizon)) {
     return Status::InvalidArgument("horizon must be finite and >= Now()");
   }
-  while (!queue_.Empty() && queue_.PeekTime() <= horizon) {
-    now_ = queue_.PeekTime();
+  while (!queue_.Empty()) {
+    const SimTime when = queue_.PeekTime();
+    if (when > horizon) break;
+    now_ = when;
     if (obs_ != nullptr) EmitDispatch();
     queue_.RunNext();
     ++events_run_;

@@ -43,6 +43,27 @@ TEST(ReplicationSeedTest, SeedsAreDistinct) {
   }
 }
 
+TEST(ReplicationSeedTest, IncrementalSeedsEqualThePerReplicationSeed) {
+  for (std::uint64_t master : {std::uint64_t{0}, std::uint64_t{99},
+                               std::uint64_t{20261017},
+                               ~std::uint64_t{0}}) {
+    const std::vector<std::uint64_t> seeds = ReplicationSeeds(master, 300);
+    ASSERT_EQ(seeds.size(), 300u);
+    for (int r = 0; r < 300; ++r) {
+      EXPECT_EQ(seeds[static_cast<std::size_t>(r)], ReplicationSeed(master, r))
+          << "master " << master << " replication " << r;
+    }
+  }
+  EXPECT_TRUE(ReplicationSeeds(7, 0).empty());
+}
+
+TEST(ReplicatedExperimentTest, RecordsTheReplicationSeeds) {
+  auto results = RunReplicatedPaperExperiment('A', {"MCV"}, ShortOptions(),
+                                              Reps(5, 2));
+  ASSERT_TRUE(results.ok()) << results.status();
+  EXPECT_EQ(results->seeds, ReplicationSeeds(ShortOptions().seed, 5));
+}
+
 TEST(ReplicatedExperimentTest, ValidatesOptions) {
   EXPECT_TRUE(RunReplicatedPaperExperiment('A', {"MCV"}, ShortOptions(),
                                            Reps(0, 1))

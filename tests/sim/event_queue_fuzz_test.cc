@@ -1,9 +1,11 @@
 // Randomized differential test: EventQueue against a trivially correct
 // reference implementation (sorted multimap), over long interleavings of
-// schedule / cancel / run operations.
+// schedule / cancel / run / clear operations.
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
-#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -31,6 +33,8 @@ class ReferenceQueue {
     return false;
   }
 
+  void Clear() { by_time_.clear(); }
+
   bool Empty() const { return by_time_.empty(); }
   std::size_t Size() const { return by_time_.size(); }
 
@@ -49,55 +53,99 @@ class ReferenceQueue {
   EventId next_id_ = 1;
 };
 
-TEST(EventQueueFuzzTest, MatchesReferenceOverRandomOps) {
-  Rng rng(0xD1FF);
+// Runs `steps` random operations against EventQueue and the reference
+// and returns the largest number of pending events seen. Both queues are
+// cleared at every step whose index is `clear_period` - 1 modulo
+// `clear_period`; the other steps schedule, cancel or run in the ratio
+// 5 : 2 : 3, under which about 0.16 events pile up per step.
+//
+// The two queues issue ids from different encodings (the reference
+// counts; EventQueue packs slot and generation), so each reference id is
+// mapped to the queue id issued in the same step. Cancels aim at
+// scheduled ids and at spent ones — fired (their slot is usually reused
+// by then), cancelled, or issued before a Clear() — which both queues
+// must refuse; every fired event must be the one the reference pops.
+std::size_t RunAgainstReference(std::uint64_t seed, int steps,
+                                int clear_period) {
+  Rng rng(seed);
   EventQueue queue;
   ReferenceQueue reference;
-  std::vector<EventId> live_ids;  // same ids in both (issued in lockstep)
-  std::optional<EventId> last_fired;
+  std::map<EventId, EventId> to_queue;  // reference id -> queue id
+  std::vector<EventId> issued;          // reference ids, in issue order
+  std::vector<EventId> spent;           // fired / cancelled / cleared
+  EventId fired_ref = kInvalidEventId;
+  std::size_t max_size = 0;
 
-  for (int step = 0; step < 50000; ++step) {
+  for (int step = 0; step < steps; ++step) {
     int op = static_cast<int>(rng.NextBounded(10));
-    if (op < 5) {  // schedule
+    if (step % clear_period == clear_period - 1) {
+      // Every id issued so far is spent.
+      queue.Clear();
+      reference.Clear();
+      spent.insert(spent.end(), issued.begin(), issued.end());
+      issued.clear();
+    } else if (op < 5) {  // schedule
       SimTime when = static_cast<SimTime>(rng.NextBounded(1000));
-      EventId fired_probe = 0;
-      EventId id = queue.Schedule(
-          when, [&fired_probe, step](SimTime) { fired_probe = step; });
-      (void)fired_probe;
       EventId ref_id = reference.Schedule(when);
-      ASSERT_EQ(id, ref_id) << "id streams diverged at step " << step;
-      live_ids.push_back(id);
-    } else if (op < 7) {  // cancel something (live, fired, or bogus)
+      EventId id = queue.Schedule(
+          when, [&fired_ref, ref_id](SimTime) { fired_ref = ref_id; });
+      EXPECT_NE(id, kInvalidEventId);
+      to_queue[ref_id] = id;
+      issued.push_back(ref_id);
+    } else if (op < 7) {  // cancel something (scheduled, spent, or bogus)
+      EventId ref_target;
       EventId target;
-      if (!live_ids.empty() && rng.NextBernoulli(0.7)) {
-        std::size_t idx = rng.NextBounded(live_ids.size());
-        target = live_ids[idx];
-      } else if (last_fired.has_value() && rng.NextBernoulli(0.5)) {
-        target = *last_fired;  // already fired: both must refuse
+      double pick = rng.NextDouble();
+      if (!issued.empty() && pick < 0.6) {
+        ref_target = issued[rng.NextBounded(issued.size())];
+        target = to_queue.at(ref_target);
+      } else if (!spent.empty() && pick < 0.9) {
+        ref_target = spent[rng.NextBounded(spent.size())];
+        target = to_queue.at(ref_target);
       } else {
-        target = 999999 + rng.NextBounded(100);  // never issued
+        ref_target = target = 999999 + rng.NextBounded(100);  // never issued
       }
-      ASSERT_EQ(queue.Cancel(target), reference.Cancel(target))
+      bool cancelled = queue.Cancel(target);
+      EXPECT_EQ(cancelled, reference.Cancel(ref_target))
           << "cancel divergence at step " << step;
+      if (cancelled) spent.push_back(ref_target);
     } else {  // run next
-      ASSERT_EQ(queue.Empty(), reference.Empty());
+      EXPECT_EQ(queue.Empty(), reference.Empty());
       if (queue.Empty()) continue;
       auto [ref_time, ref_id] = reference.Pop();
-      ASSERT_EQ(queue.PeekTime(), ref_time) << "step " << step;
+      EXPECT_EQ(queue.PeekTime(), ref_time) << "step " << step;
       SimTime t = queue.RunNext();
-      ASSERT_EQ(t, ref_time) << "step " << step;
-      last_fired = ref_id;
+      EXPECT_EQ(t, ref_time) << "step " << step;
+      EXPECT_EQ(fired_ref, ref_id) << "step " << step;
+      spent.push_back(ref_id);
     }
-    ASSERT_EQ(queue.Size(), reference.Size()) << "step " << step;
+    EXPECT_EQ(queue.Size(), reference.Size()) << "step " << step;
+    if (::testing::Test::HasFailure()) return max_size;
+    max_size = std::max(max_size, queue.Size());
   }
 
   // Drain: remaining events must come out in identical order.
   while (!reference.Empty()) {
     auto [ref_time, ref_id] = reference.Pop();
-    ASSERT_EQ(queue.RunNext(), ref_time);
-    (void)ref_id;
+    EXPECT_EQ(queue.RunNext(), ref_time);
+    EXPECT_EQ(fired_ref, ref_id);
+    if (::testing::Test::HasFailure()) return max_size;
   }
   EXPECT_TRUE(queue.Empty());
+  return max_size;
+}
+
+TEST(EventQueueFuzzTest, MatchesReferenceOverRandomOps) {
+  // Two clears only, so the heap grows thousands of events deep and lazy
+  // cancels are skimmed from deep inside it.
+  const std::size_t max_size = RunAgainstReference(0xD1FF, 50000, 20000);
+  EXPECT_GE(max_size, 1000u);
+}
+
+TEST(EventQueueFuzzTest, MatchesReferenceWithFrequentClears) {
+  // A clear about every hundred steps: ids from before a Clear() are
+  // spent often, while their slots are reused by the next events.
+  RunAgainstReference(0xC1EA, 20000, 97);
 }
 
 }  // namespace

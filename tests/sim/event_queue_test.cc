@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -203,6 +204,110 @@ TEST(EventQueueTest, CancellationDoesNotPerturbTieOrder) {
   EXPECT_TRUE(q.Cancel(ids[3]));
   while (!q.Empty()) q.RunNext();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5}));
+}
+
+// --- generation-tagged ids ------------------------------------------------
+// An EventId names a slot of the callback table plus the slot's
+// generation. Slots are recycled, so these tests pin down that an old id
+// never reaches the event that reuses its slot.
+
+TEST(EventQueueTest, FiredIdDoesNotCancelItsSlotsNextEvent) {
+  EventQueue q;
+  EventId fired_id = q.Schedule(1.0, [](SimTime) {});
+  q.RunNext();
+  int fired = 0;
+  EventId reuser = q.Schedule(2.0, [&](SimTime) { ++fired; });
+  EXPECT_NE(reuser, fired_id);
+  EXPECT_FALSE(q.Cancel(fired_id));
+  EXPECT_EQ(q.Size(), 1u);
+  q.RunNext();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, CancelledIdDoesNotCancelItsSlotsNextEvent) {
+  EventQueue q;
+  EventId cancelled = q.Schedule(1.0, [](SimTime) {});
+  EXPECT_TRUE(q.Cancel(cancelled));
+  q.Schedule(3.0, [](SimTime) {});
+  q.RunNext();  // skims the cancelled node, freeing its slot
+  int fired = 0;
+  q.Schedule(4.0, [&](SimTime) { ++fired; });
+  EXPECT_FALSE(q.Cancel(cancelled));
+  q.RunNext();
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(EventQueueTest, IdIssuedBeforeClearCancelsNothing) {
+  EventQueue q;
+  std::vector<EventId> before;
+  for (int i = 0; i < 4; ++i) {
+    before.push_back(q.Schedule(1.0 + i, [](SimTime) {}));
+  }
+  q.Clear();
+  int fired = 0;
+  for (int i = 0; i < 4; ++i) {
+    q.Schedule(1.0 + i, [&](SimTime) { ++fired; });  // reuse every slot
+  }
+  for (EventId id : before) EXPECT_FALSE(q.Cancel(id));
+  EXPECT_EQ(q.Size(), 4u);
+  while (!q.Empty()) q.RunNext();
+  EXPECT_EQ(fired, 4);
+}
+
+TEST(EventQueueTest, SizeAndEmptyCountOnlyLiveEventsWhileCancelledNodesWait) {
+  EventQueue q;
+  EventId a = q.Schedule(1.0, [](SimTime) {});
+  EventId b = q.Schedule(2.0, [](SimTime) {});
+  EventId c = q.Schedule(3.0, [](SimTime) {});
+  EXPECT_TRUE(q.Cancel(a));
+  EXPECT_TRUE(q.Cancel(c));
+  // Both cancelled nodes are still in the heap (cancellation is lazy).
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_FALSE(q.Empty());
+  EXPECT_TRUE(q.Cancel(b));
+  EXPECT_EQ(q.Size(), 0u);
+  EXPECT_TRUE(q.Empty());
+  int fired = 0;
+  q.Schedule(5.0, [&](SimTime) { ++fired; });
+  EXPECT_EQ(q.Size(), 1u);
+  EXPECT_EQ(q.PeekTime(), 5.0);
+  EXPECT_EQ(q.RunNext(), 5.0);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventQueueTest, EqualTimestampsStayFifoAcrossSlotReuse) {
+  // A hold model on a coarse grid: each step fires one event and
+  // schedules two at or after it, so slots are recycled constantly and a
+  // later-scheduled event often holds a lower slot than its tie-mates.
+  std::uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  EventQueue q;
+  int scheduled = 0;
+  std::vector<std::pair<SimTime, int>> fired;  // (when, schedule index)
+  std::function<void(SimTime)> schedule_at = [&](SimTime when) {
+    const int index = scheduled++;
+    q.Schedule(when, [&fired, when, index](SimTime) {
+      fired.push_back({when, index});
+    });
+  };
+  for (int i = 0; i < 8; ++i) schedule_at(static_cast<SimTime>(next() % 4));
+  while (!q.Empty() && scheduled < 4000) {
+    const SimTime now = q.RunNext();
+    if (next() % 8 != 0) schedule_at(now + static_cast<SimTime>(next() % 3));
+    if (next() % 2 == 0) schedule_at(now + static_cast<SimTime>(next() % 3));
+  }
+  while (!q.Empty()) q.RunNext();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(scheduled));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    ASSERT_LE(fired[i - 1].first, fired[i].first);
+    if (fired[i - 1].first == fired[i].first) {
+      ASSERT_LT(fired[i - 1].second, fired[i].second) << "at " << i;
+    }
+  }
 }
 
 }  // namespace
